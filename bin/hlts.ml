@@ -334,6 +334,9 @@ let atpg_cmd =
                 Hlts_atpg.Atpg.collapse_gate_inputs = collapse_gates }
             in
             let row = Eval.evaluate ~atpg ~engine ~jobs ?backend a d ~bits in
+            (* resource gauges describe the whole command, so read them
+               at its end *)
+            Obs.Res.emit ();
             let engine_name =
               match engine with
               | `Ppsfp -> "ppsfp"
@@ -567,6 +570,7 @@ let profile_cmd =
                   Obs.span ~cat:"other" "profile" (fun _ ->
                       Eval.evaluate ~atpg:(atpg_config seed) a d ~bits)
                 in
+                Obs.Res.emit ();
                 Printf.printf
                   "profile of %s / %s / %d bit (seed %d):\n\
                   \  steps: %d   registers: %d   units: %d   gates: %d\n\

@@ -283,6 +283,7 @@ let run ?(config = default_config) ?(engine = `Ppsfp) ?(jobs = 1) ?backend
   in
   let queue = ref !remaining in
   remaining := [];
+  let podem = Podem.create sim ~max_frames:config.max_frames in
   let rec process () =
     match !queue with
     | [] -> ()
@@ -291,8 +292,7 @@ let run ?(config = default_config) ?(engine = `Ppsfp) ?(jobs = 1) ?backend
       Obs.count "atpg.faults_tried";
       let verdict, stats =
         Obs.span ~cat:"atpg" "atpg.podem" (fun _ ->
-        Podem.generate ~engine:(podem_engine engine) sim
-          ~max_frames:config.max_frames
+        Podem.generate ~engine:(podem_engine engine) podem
           ~max_backtracks:config.max_backtracks fault)
       in
       implications := !implications + stats.Podem.implications;
@@ -310,8 +310,11 @@ let run ?(config = default_config) ?(engine = `Ppsfp) ?(jobs = 1) ?backend
         pending_tests := test :: !pending_tests;
         all_tests := test :: !all_tests;
         if List.length !pending_tests >= 64 then queue := drop_batch !queue
-      | Podem.Aborted | Podem.No_test_in_frames ->
+      | (Podem.Aborted | Podem.No_test_in_frames) as why ->
         Obs.count "atpg.aborted";
+        Obs.count
+          (if why = Podem.Aborted then "atpg.budget_aborts"
+           else "atpg.no_test_in_frames");
         aborted := fault :: !aborted);
       process ()
   in

@@ -35,17 +35,30 @@ type stats = {
 
 type engine = [ `Cone | `Full ]
 (** [`Cone] (the default) restricts the faulty plane, the D-frontier
-    scan and the detection scan to the fault site's sequential output
-    cone ({!Hlts_sim.Sim.cone}); everything outside the cone provably
-    carries the good value, so verdicts, tests and stats are
-    bit-identical to [`Full] — the pre-cone full-sweep code, kept as
-    the oracle the property tests compare against. *)
+    and the detection scan to the fault site's sequential output cone
+    ({!Hlts_sim.Sim.cone}), keeps the D-frontier as an incremental
+    per-frame bitset updated by the event-driven resimulation, and
+    backtraces over the compiled arrays of {!Hlts_sim.Sim}; everything
+    outside the cone provably carries the good value, so verdicts,
+    tests and stats are bit-identical to [`Full] — the pre-cone
+    full-sweep code with its hashtable backtrace and materialized
+    D-frontier list, kept as the oracle the property tests compare
+    against. *)
+
+type t
+(** The prepared context of one ATPG run over one compiled circuit:
+    lookup views and every scratch plane, sized once for [max_frames]
+    and reset per search. Reusing it across faults gives exactly the
+    results of a fresh one per fault. It is mutable and owned by its
+    run: never share one between concurrent searches. *)
+
+val create : Hlts_sim.Sim.t -> max_frames:int -> t
+(** Frame counts 1 to [max_frames] are tried for every fault. *)
 
 val generate :
   ?max_implications:int ->
   ?engine:engine ->
-  Hlts_sim.Sim.t ->
-  max_frames:int ->
+  t ->
   max_backtracks:int ->
   Hlts_fault.Fault.t ->
   verdict * stats
@@ -53,4 +66,5 @@ val generate :
     resimulations spent on one fault across all unrolling depths.
 
     Setting the environment variable [PODEM_DEBUG=1] traces the search
-    (objectives, assignments, backtracks) to stderr. *)
+    (objective or D-frontier sizes, assignments, backtracks) to
+    stderr. *)

@@ -108,21 +108,56 @@ let prop_podem_matches_oracle =
       let st = Random.State.make [| seed |] in
       let c = random_netlist st in
       let sim = Sim.compile c in
+      let cone = Podem.create sim ~max_frames:3
+      and full = Podem.create sim ~max_frames:3 in
       List.for_all
         (fun fault ->
           let v1, s1 =
-            Podem.generate ~engine:`Cone sim ~max_frames:3 ~max_backtracks:10
-              fault
+            Podem.generate ~engine:`Cone cone ~max_backtracks:10 fault
           in
           let v2, s2 =
-            Podem.generate ~engine:`Full sim ~max_frames:3 ~max_backtracks:10
-              fault
+            Podem.generate ~engine:`Full full ~max_backtracks:10 fault
           in
           if not (v1 = v2 && s1 = s2) then
             QCheck.Test.fail_reportf "seed %d %s: engines disagree" seed
               (F.to_string fault);
           true)
         (List.init 3 (fun _ -> random_fault st c)))
+
+(* One context reused across a random sequence of faults must answer
+   exactly like a fresh context per fault, and like the [`Full] oracle.
+   Every call walks depths 1..4 on planes the previous call left at
+   some depth, and small random backtrack and implication budgets end
+   searches (detected, aborted, exhausted) at random depths, so a stale
+   plane, schedule or D-frontier bit would show as a disagreement. *)
+let prop_podem_context_reuse =
+  QCheck.Test.make ~name:"Podem reused context = fresh = `Full" ~count:100
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let c = random_netlist st in
+      let sim = Sim.compile c in
+      let max_frames = 4 in
+      let reused = Podem.create sim ~max_frames in
+      let case _ =
+        let fault = random_fault st c in
+        (fault, Random.State.int st 12, 1 + Random.State.int st 60)
+      in
+      List.for_all
+        (fun (fault, max_backtracks, max_implications) ->
+          let run engine p =
+            Podem.generate ~max_implications ~engine p ~max_backtracks fault
+          in
+          let r = run `Cone reused in
+          let fresh = run `Cone (Podem.create sim ~max_frames) in
+          let full = run `Full (Podem.create sim ~max_frames) in
+          if r <> fresh || r <> full then
+            QCheck.Test.fail_reportf
+              "seed %d %s (backtracks %d, implications %d): reused, fresh \
+               and full contexts disagree"
+              seed (F.to_string fault) max_backtracks max_implications;
+          true)
+        (List.init 8 case))
 
 (* --- end-to-end Atpg.run engine identity --------------------------------- *)
 
@@ -162,7 +197,10 @@ let () =
       ( "replay",
         [ QCheck_alcotest.to_alcotest prop_replay_matches_oracle ] );
       ( "podem",
-        [ QCheck_alcotest.to_alcotest prop_podem_matches_oracle ] );
+        [
+          QCheck_alcotest.to_alcotest prop_podem_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_podem_context_reuse;
+        ] );
       ( "atpg",
         [
           Alcotest.test_case "engine identity" `Quick
