@@ -243,6 +243,7 @@ let synth_cmd =
   let run bench approach bits jobs backend stats trace jsonl journal metrics
       heartbeat heartbeat_ms =
     with_errors (fun () ->
+        let* () = Eval.check_bits bits in
         let* d = find_bench bench in
         let* a = find_approach approach in
         with_obs ~stats ~trace ~jsonl ~journal ~metrics ~heartbeat ~heartbeat_ms
@@ -268,6 +269,7 @@ let synth_cmd =
 let testability_cmd =
   let run bench approach bits =
     with_errors (fun () ->
+        let* () = Eval.check_bits bits in
         let* d = find_bench bench in
         let* a = find_approach approach in
         let o = Eval.outcome a d ~bits in
@@ -324,6 +326,7 @@ let atpg_cmd =
   let run bench approach bits seed collapse_gates engine jobs backend stats
       trace jsonl journal metrics heartbeat heartbeat_ms =
     with_errors (fun () ->
+        let* () = Eval.check_bits bits in
         let* d = find_bench bench in
         let* a = find_approach approach in
         with_obs ~stats ~trace ~jsonl ~journal ~metrics ~heartbeat ~heartbeat_ms
@@ -501,6 +504,7 @@ let verify_cmd =
   in
   let run bench approach bits trials seed =
     with_errors (fun () ->
+        let* () = Eval.check_bits bits in
         let* d = find_bench bench in
         let* a = find_approach approach in
         let o = Eval.outcome a d ~bits in
@@ -523,6 +527,7 @@ let verify_cmd =
 let dot_cmd =
   let run bench approach bits =
     with_errors (fun () ->
+        let* () = Eval.check_bits bits in
         let* d = find_bench bench in
         let* a = find_approach approach in
         let o = Eval.outcome a d ~bits in
@@ -540,6 +545,7 @@ let compile_cmd =
   in
   let run file approach bits =
     with_errors (fun () ->
+        let* () = Eval.check_bits bits in
         let ic = open_in file in
         let len = in_channel_length ic in
         let src = really_input_string ic len in
@@ -558,6 +564,7 @@ let compile_cmd =
 let profile_cmd =
   let run bench approach bits seed trace jsonl journal =
     with_errors (fun () ->
+        let* () = Eval.check_bits bits in
         let* d = find_bench bench in
         let* a = find_approach approach in
         let summary = Obs.Summary.create () in

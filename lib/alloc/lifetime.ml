@@ -6,16 +6,50 @@ type interval = {
   death : int;
 }
 
-(* Core interval computation, parameterized over the uses lookup so the
-   whole-design passes ([of_schedule], [occupancy]) can share one
-   precomputed value->readers index instead of scanning the op list per
-   value (which made each pass quadratic in the design size). *)
-let interval_core dfg sched ~uses_of v =
+(* What the interval of one value needs of the DFG: who reads it and
+   whether it leaves the design. Pure DFG facts, independent of the
+   schedule. *)
+type reads = {
+  value : Dfg.value;
+  readers : int list;
+  is_out : bool;
+}
+
+(* The interval of one value under [sched], whose length is [len]:
+   born the step after its definition (an input: the step before its
+   first use), dead the step after its last read, a primary output
+   read once more at [len + 1]. *)
+let interval_at sched ~len r =
   let def_step =
-    match v with
+    match r.value with
     | Dfg.V_input _ ->
       (* inputs are loaded from their port just before their first use, so
          several staged inputs can share one register *)
+      List.fold_left
+        (fun acc use -> min acc (Schedule.step sched use))
+        (len + 1) r.readers
+      - 1
+    | Dfg.V_op id -> Schedule.step sched id
+  in
+  let birth = def_step + 1 in
+  let last_use =
+    List.fold_left
+      (fun acc use -> max acc (Schedule.step sched use))
+      (if r.is_out then max def_step (len + 1) else def_step)
+      r.readers
+  in
+  (* A value with no reader still occupies its register for one step. *)
+  { birth; death = max (last_use + 1) (birth + 1) }
+
+(* The lifetime rule spelled out for one value: the readers rescanned
+   from the op list, the schedule length refolded. The whole-design
+   passes below use the hoisted [interval_at] instead; this one-value
+   query is also the simple oracle they are tested against. *)
+let interval_of dfg sched v =
+  let uses_of = Dfg.uses_of_value dfg in
+  let def_step =
+    match v with
+    | Dfg.V_input _ ->
       let first_use =
         List.fold_left
           (fun acc use -> min acc (Schedule.step sched use))
@@ -31,48 +65,34 @@ let interval_core dfg sched ~uses_of v =
     if Dfg.is_output dfg v then (Schedule.length sched + 1) :: uses else uses
   in
   let last_use = List.fold_left max def_step uses in
-  (* A value with no reader still occupies its register for one step. *)
   { birth; death = max (last_use + 1) (birth + 1) }
 
-let interval_of dfg sched v =
-  interval_core dfg sched ~uses_of:(Dfg.uses_of_value dfg) v
-
-(* value -> reading op ids, one pass over the op list. Each reader
-   appears once per value even when both of its operands name the same
-   value (matching [Dfg.uses_of_value]); order is irrelevant to the
-   min/max folds above. *)
-let uses_index dfg =
-  let tbl = Hashtbl.create 64 in
-  let note v id =
-    Hashtbl.replace tbl v (id :: (try Hashtbl.find tbl v with Not_found -> []))
-  in
-  let value_of = function
-    | Dfg.Input name -> Some (Dfg.V_input name)
-    | Dfg.Op id -> Some (Dfg.V_op id)
-    | Dfg.Const _ -> None
-  in
-  List.iter
-    (fun o ->
-      let a, b = o.Dfg.args in
-      match value_of a, value_of b with
-      | Some va, Some vb when va = vb -> note va o.Dfg.id
-      | va, vb ->
-        Option.iter (fun v -> note v o.Dfg.id) va;
-        Option.iter (fun v -> note v o.Dfg.id) vb)
-    dfg.Dfg.ops;
-  fun v -> try Hashtbl.find tbl v with Not_found -> []
+(* Every value's [reads], in [Dfg.values] order, built once per DFG:
+   the per-value scans are paid once per design, not once per
+   schedule. *)
+let reads_of =
+  Dfg.memo (fun dfg ->
+      List.map
+        (fun v ->
+          {
+            value = v;
+            readers = Dfg.uses_of_value dfg v;
+            is_out = Dfg.is_output dfg v;
+          })
+        (Dfg.values dfg))
 
 let of_schedule dfg sched =
-  let uses_of = uses_index dfg in
-  List.map (fun v -> (v, interval_core dfg sched ~uses_of v)) (Dfg.values dfg)
+  let len = Schedule.length sched in
+  List.map (fun r -> (r.value, interval_at sched ~len r)) (reads_of dfg)
 
 let occupancy dfg sched =
-  let uses_of = uses_index dfg in
+  Hlts_obs.span ~cat:"lifetime" "lifetime.occupancy" @@ fun _ ->
+  let len = Schedule.length sched in
   List.fold_left
-    (fun acc v ->
-      let iv = interval_core dfg sched ~uses_of v in
+    (fun acc r ->
+      let iv = interval_at sched ~len r in
       acc + (iv.death - iv.birth))
-    0 (Dfg.values dfg)
+    0 (reads_of dfg)
 
 let overlap a b = a.birth < b.death && b.birth < a.death
 

@@ -17,15 +17,21 @@ type interval = {
 
 val of_schedule :
   Hlts_dfg.Dfg.t -> Hlts_sched.Schedule.t -> (Hlts_dfg.Dfg.value * interval) list
-(** Lifetime of every storage value, in {!Hlts_dfg.Dfg.values} order. *)
+(** Lifetime of every storage value, in {!Hlts_dfg.Dfg.values} order.
+    The schedule-independent facts (each value's readers, whether it
+    is an output) are indexed once per DFG ({!Hlts_dfg.Dfg.memo}) and
+    the schedule length once per call. *)
 
 val interval_of :
   Hlts_dfg.Dfg.t -> Hlts_sched.Schedule.t -> Hlts_dfg.Dfg.value -> interval
+(** One value's lifetime, derived from scratch (an O(ops) scan): the
+    reference {!of_schedule} and {!occupancy} are tested against. *)
 
 val occupancy : Hlts_dfg.Dfg.t -> Hlts_sched.Schedule.t -> int
 (** Total register occupancy: the sum of all interval lengths. Equal to
     summing [death - birth] over {!of_schedule}, in one pass (the SR2
-    trial metric of the merge engine). *)
+    trial metric of the merge engine). Reported as the
+    [lifetime.occupancy] span. *)
 
 val overlap : interval -> interval -> bool
 

@@ -159,7 +159,10 @@ let modules state ~bits fa fb =
       let chain_a = by_step fu_a.Binding.fu_ops in
       let chain_b = by_step fu_b.Binding.fu_ops in
       let sr2 = ref false in
-      match merge_op_chains ~sr2 state.State.dfg state.State.cons chain_a chain_b with
+      match
+        Hlts_obs.span ~cat:"merge" "merge.chains" (fun _ ->
+            merge_op_chains ~sr2 state.State.dfg state.State.cons chain_a chain_b)
+      with
       | None -> None
       | Some (cons, emitted) ->
         let merged = { Binding.fu_id = 0; fu_class = cls; fu_ops = emitted } in
@@ -256,18 +259,23 @@ let registers state ~bits ra rb =
     let binding = state.State.binding in
     let reg_a = List.find (fun r -> r.Binding.reg_id = ra) binding.Binding.registers in
     let reg_b = List.find (fun r -> r.Binding.reg_id = rb) binding.Binding.registers in
+    (* birth keys computed once per value; the sort is stable, so equal
+       births keep their register order *)
     let by_birth values =
-      List.sort
-        (fun u w ->
-          compare
-            (Lifetime.interval_of dfg state.State.schedule u).Lifetime.birth
-            (Lifetime.interval_of dfg state.State.schedule w).Lifetime.birth)
+      List.map
+        (fun v ->
+          ((Lifetime.interval_of dfg state.State.schedule v).Lifetime.birth, v))
         values
+      |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map snd
     in
     let chain_a = by_birth reg_a.Binding.reg_values in
     let chain_b = by_birth reg_b.Binding.reg_values in
     let sr2 = ref false in
-    match merge_value_chains ~sr2 dfg state.State.cons chain_a chain_b with
+    match
+      Hlts_obs.span ~cat:"merge" "merge.chains" (fun _ ->
+          merge_value_chains ~sr2 dfg state.State.cons chain_a chain_b)
+    with
     | None -> None
     | Some (cons, emitted) ->
       let merged = { Binding.reg_id = 0; reg_values = emitted } in

@@ -77,6 +77,7 @@ let with_binding t binding =
   make ~dfg:t.dfg ~cons:t.cons ~schedule:t.schedule ~binding ()
 
 let consistent t =
+  Hlts_obs.span ~cat:"state" "state.validate" @@ fun _ ->
   Schedule.respects t.dfg t.schedule
   && List.for_all
        (fun (a, b) -> Schedule.step t.schedule a < Schedule.step t.schedule b)

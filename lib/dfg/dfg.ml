@@ -21,31 +21,37 @@ type value =
   | V_input of string
   | V_op of int
 
-(* [op_by_id] is on the hot path of every merger and scheduler query.
-   DFG values are immutable, so a hashtbl index keyed on the *physical*
-   record (a DFG is built once and threaded through a whole synthesis
-   run) replaces the O(ops) list scan. A short MRU list rather than a
-   single entry: evaluation pipelines interleave a handful of designs. *)
-let op_index =
+(* Per-DFG derived views ([op_by_id]'s index, the lifetime readers
+   index) are on the hot path of every merger and scheduler query. DFG
+   values are immutable, so a view keyed on the *physical* record (a
+   DFG is built once and threaded through a whole synthesis run)
+   replaces an O(ops) list scan. A short MRU list rather than a single
+   entry: evaluation pipelines interleave a handful of designs. *)
+let memo build =
   (* Atomic, not a plain ref: domain workers index shared DFGs
      concurrently, and an unsynchronized read of a half-published
-     Hashtbl has no happens-before edge. CAS publishes a fully built
-     index; a lost race merely rebuilds a duplicate (both are valid). *)
-  let cache : (t * (int, operation) Hashtbl.t) list Atomic.t = Atomic.make [] in
+     view has no happens-before edge. CAS publishes a fully built
+     view; a lost race merely rebuilds a duplicate (both are valid). *)
+  let cache = Atomic.make [] in
   fun t ->
     match List.find_opt (fun (key, _) -> key == t) (Atomic.get cache) with
-    | Some (_, index) -> index
+    | Some (_, view) -> view
     | None ->
-      let index = Hashtbl.create (2 * List.length t.ops) in
-      List.iter (fun o -> Hashtbl.replace index o.id o) t.ops;
+      let view = build t in
       let keep = function a :: b :: c :: _ -> [ a; b; c ] | l -> l in
       let rec publish () =
         let cur = Atomic.get cache in
-        if not (Atomic.compare_and_set cache cur ((t, index) :: keep cur)) then
+        if not (Atomic.compare_and_set cache cur ((t, view) :: keep cur)) then
           publish ()
       in
       publish ();
-      index
+      view
+
+let op_index =
+  memo (fun t ->
+      let index = Hashtbl.create (2 * List.length t.ops) in
+      List.iter (fun o -> Hashtbl.replace index o.id o) t.ops;
+      index)
 
 let op_by_id t id = Hashtbl.find (op_index t) id
 

@@ -47,6 +47,11 @@ val validate_exn : t -> t
 (** [validate] raising [Invalid_argument] on error; returns the DFG with
     [ops] re-sorted topologically. *)
 
+val memo : (t -> 'a) -> t -> 'a
+(** [memo build] is [build] cached per DFG, keyed on the physical
+    record: a few recently used DFGs keep their view. Safe to share
+    across domains; a lost publication race only rebuilds the view. *)
+
 val op_by_id : t -> int -> operation
 (** @raise Not_found if no such operation. *)
 

@@ -25,22 +25,23 @@ type spec = {
   engine : Atpg.engine;
 }
 
+let ( let* ) = Result.bind
+
 let spec ?params ?atpg ?engine ?dfg ~bench ~approach ~bits () =
-  match
-    match dfg with Some d -> Ok d | None -> B.find_result bench
-  with
-  | Error _ as e -> e
-  | Ok dfg ->
-    Ok
-      {
-        bench;
-        dfg;
-        approach;
-        bits;
-        params = Option.value ~default:(Eval.params_for_bits bits) params;
-        atpg = Option.value ~default:Atpg.default_config atpg;
-        engine = Option.value ~default:`Ppsfp engine;
-      }
+  let* () = Eval.check_bits bits in
+  let params = Option.value ~default:(Eval.params_for_bits bits) params in
+  let* () = Eval.check_bits params.Synth.bits in
+  let* dfg = match dfg with Some d -> Ok d | None -> B.find_result bench in
+  Ok
+    {
+      bench;
+      dfg;
+      approach;
+      bits;
+      params;
+      atpg = Option.value ~default:Atpg.default_config atpg;
+      engine = Option.value ~default:`Ppsfp engine;
+    }
 
 type request =
   | Synth of spec
@@ -129,9 +130,16 @@ let spec_digest ~op ?(with_atpg = true) s =
         else ""))
 
 (* The (DFG, approach, params) digest the synthesized outcome is keyed
-   by: shared by every evaluation width and independent of the ATPG
-   budget. *)
-let outcome_digest s = spec_digest ~op:"outcome" ~with_atpg:false s
+   by: synthesis never reads the evaluation width (the width it
+   estimates hardware at is [params.bits]), so the key leaves it out
+   and every width with equal params shares one outcome; it is also
+   independent of the ATPG budget. *)
+let outcome_digest s =
+  md5
+    (Printf.sprintf "%s;op=outcome;dfg=%s;approach=%s;%s" schema
+       (Dfg.digest s.dfg)
+       (Flows.approach_name s.approach)
+       (params_key s.params))
 
 let request_digest = function
   | Synth s -> spec_digest ~op:"synth" ~with_atpg:false s
@@ -283,8 +291,6 @@ let field_default name conv ~default j =
     | Some x -> Ok x
     | None -> Error (Printf.sprintf "field %S has the wrong type" name))
 
-let ( let* ) = Result.bind
-
 let spec_of_json j =
   let* bench = field "bench" jstr j in
   let* approach_name = field "approach" jstr j in
@@ -294,6 +300,7 @@ let spec_of_json j =
     | None -> Error (Printf.sprintf "unknown approach %S" approach_name)
   in
   let* bits = field "bits" jint j in
+  let* () = Eval.check_bits bits in
   let* dfg = B.find_result bench in
   let dp = Eval.params_for_bits bits in
   let* params =
@@ -304,6 +311,7 @@ let spec_of_json j =
       let* alpha = field_default "alpha" jfloat ~default:dp.Synth.alpha pj in
       let* beta = field_default "beta" jfloat ~default:dp.Synth.beta pj in
       let* pbits = field_default "bits" jint ~default:dp.Synth.bits pj in
+      let* () = Eval.check_bits pbits in
       let* strategy =
         let* s =
           field_default "strategy" jstr

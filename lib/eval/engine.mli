@@ -20,8 +20,8 @@
       gate-level circuit through different wrappers;
     - [outcome] (memory tier only — synthesized outcomes hold memoized
       views): (DFG digest, approach, params) -> synthesized outcome +
-      its decision journal, shared by the 4/8/16-bit columns of one
-      table row and by testability/synth requests for the same design.
+      its decision journal, shared by every evaluation width with equal
+      params and by testability/synth requests for the same design.
 
     Cache hits are byte-identical to cold runs, journal included: the
     journal is captured at compute time and stored with the result. *)
@@ -52,7 +52,8 @@ val spec :
     {!Hlts_atpg.Atpg.default_config}, [engine] to [`Ppsfp]. Without
     [dfg] the benchmark is resolved through
     {!Hlts_dfg.Benchmarks.find_result} (the [Error] case is its
-    message). *)
+    message). [Error] also when [bits] or [params.bits] fails
+    {!Eval.check_bits}. *)
 
 type request =
   | Synth of spec  (** synthesis only: schedule/allocation/area *)

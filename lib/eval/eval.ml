@@ -29,6 +29,12 @@ type row = {
   detect_digest : string;
 }
 
+let max_bits = 32
+
+let check_bits bits =
+  if bits >= 1 && bits <= max_bits then Ok ()
+  else Error (Printf.sprintf "bit width %d out of range 1..%d" bits max_bits)
+
 let params_for_bits bits =
   let base = Synth.default_params in
   match bits with

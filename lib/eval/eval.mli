@@ -27,6 +27,14 @@ type row = {
   detect_digest : string;           (** {!Hlts_atpg.Atpg.result.detect_digest} *)
 }
 
+val max_bits : int
+(** Widest evaluation width accepted: 32. *)
+
+val check_bits : int -> (unit, string) result
+(** [Ok ()] iff [1 <= bits <= max_bits]; otherwise a one-line error.
+    Every boundary that takes a width (the CLI, {!Engine.spec}, the
+    wire decoder) checks it here. *)
+
 val params_for_bits : int -> Hlts_synth.Synth.params
 (** The paper's parameter triples: (k, alpha, beta) = (3, 2, 1) at 4 bits,
     (3, 10, 1) at 8 bits, (3, 1, 10) at 16 bits (§5); [bits] is also the

@@ -10,9 +10,9 @@ type result = {
 
 (* Area of one data-path block given its incoming arcs, multiplexers
    folded into the destination node that owns them. *)
-let block_area etpn ~bits id in_arcs =
+let block_area node ~bits in_arcs =
   let own =
-    match Etpn.node etpn id with
+    match node with
     | Etpn.Reg _ -> Module_library.reg_area ~bits
     | Etpn.Fu fu -> Module_library.fu_area fu.Hlts_alloc.Binding.fu_class ~bits
     | Etpn.Port_in _ | Etpn.Port_out _ | Etpn.Cond_out _ | Etpn.Const _ ->
@@ -29,92 +29,120 @@ let block_area etpn ~bits id in_arcs =
   in
   own +. mux
 
+module Frontier = Set.Make (Int)
+
+(* The planner runs once per merge attempt, so every per-node view is
+   built in one pass into arrays indexed by the node's position in
+   [etpn.nodes], and the placement keeps its free-slot frontier
+   incrementally: placing a block removes its slot and adds its free
+   4-neighbours, instead of re-deriving the frontier from every
+   occupied slot. Wire lengths to placed neighbours are exact small
+   integers, so they are summed in [int]. *)
+
 let plan etpn ~bits =
-  let ids = List.map fst etpn.Etpn.nodes in
-  let connections = Etpn.interconnect etpn in
-  (* The planner is called once per merge attempt, so the per-node views
-     (degree, neighbour list, incoming arcs) are each built in one pass
-     instead of rescanning the arc/connection lists per query. *)
-  let degree_tbl = Hashtbl.create 64 in
-  let adj = Hashtbl.create 64 in
-  let note id n =
-    Hashtbl.replace degree_tbl id
-      (1 + Option.value ~default:0 (Hashtbl.find_opt degree_tbl id));
-    Hashtbl.replace adj id (n :: Option.value ~default:[] (Hashtbl.find_opt adj id))
+  Hlts_obs.span ~cat:"floorplan" "floorplan.plan" @@ fun _ ->
+  let nodes = Array.of_list etpn.Etpn.nodes in
+  let n = Array.length nodes in
+  let index = Hashtbl.create (2 * n) in
+  Array.iteri (fun k (id, _) -> Hashtbl.replace index id k) nodes;
+  let ix id = Hashtbl.find index id in
+  (* neighbours over the undirected interconnect: one entry per
+     distinct node pair (a self-loop counts once) *)
+  let degree = Array.make n 0 and adj = Array.make n [] in
+  let note a b =
+    degree.(a) <- degree.(a) + 1;
+    adj.(a) <- b :: adj.(a)
   in
   List.iter
-    (fun (a, b) -> if a = b then note a b else (note a b; note b a))
-    connections;
-  let degree id = Option.value ~default:0 (Hashtbl.find_opt degree_tbl id) in
-  let neighbours id = Option.value ~default:[] (Hashtbl.find_opt adj id) in
-  let in_arcs_tbl = Hashtbl.create 64 in
+    (fun (a, b) ->
+      let a = ix a and b = ix b in
+      if a = b then note a b else (note a b; note b a))
+    (Etpn.interconnect etpn);
+  (* per-node incoming arcs in arc-list order, so the float summation
+     in [block_area] is unchanged *)
+  let in_arcs = Array.make n [] in
   List.iter
     (fun a ->
-      Hashtbl.replace in_arcs_tbl a.Etpn.a_dst
-        (a :: Option.value ~default:[] (Hashtbl.find_opt in_arcs_tbl a.Etpn.a_dst)))
-    etpn.Etpn.arcs;
-  let in_arcs id =
-    (* reversed at read time so the per-node list keeps the arc-list
-       order, making the float summation in [block_area] bit-identical
-       to the former per-node [Etpn.in_arcs] filter *)
-    List.rev (Option.value ~default:[] (Hashtbl.find_opt in_arcs_tbl id))
-  in
+      let d = ix a.Etpn.a_dst in
+      in_arcs.(d) <- a :: in_arcs.(d))
+    (List.rev etpn.Etpn.arcs);
   let order =
-    List.sort (fun a b -> compare (degree b, a) (degree a, b)) ids
+    List.sort
+      (fun a b -> compare (degree.(b), fst nodes.(a)) (degree.(a), fst nodes.(b)))
+      (List.init n Fun.id)
   in
   (* Slot grid: pitch derived from the average block size so distances are
      in mm. *)
-  let areas = List.map (fun id -> (id, block_area etpn ~bits id (in_arcs id))) ids in
-  let cell_area = Hlts_util.Listx.sum_by snd areas in
-  let pitch = sqrt (cell_area /. float_of_int (max 1 (List.length ids))) in
-  let occupied = Hashtbl.create 64 in
-  let slot_of = Hashtbl.create 64 in
-  let place id (i, j) =
-    Hashtbl.replace occupied (i, j) id;
-    Hashtbl.replace slot_of id (i, j)
-  in
-  let frontier () =
-    let cells = Hashtbl.fold (fun cell _ acc -> cell :: acc) occupied [] in
-    let around (i, j) =
-      [ (i + 1, j); (i - 1, j); (i, j + 1); (i, j - 1) ]
+  let cell_area = ref 0.0 in
+  Array.iteri
+    (fun k (_, node) -> cell_area := !cell_area +. block_area node ~bits in_arcs.(k))
+    nodes;
+  let cell_area = !cell_area in
+  let pitch = sqrt (cell_area /. float_of_int (max 1 n)) in
+  (* Slots stay within n of the origin, so [(i + n) * stride + j + n]
+     is a non-negative key per slot whose integer order is the slots'
+     row-major order. *)
+  let stride = (2 * n) + 1 in
+  let key i j = ((i + n) * stride) + j + n in
+  let occupied = Hashtbl.create (2 * n) in
+  let si = Array.make n 0 and sj = Array.make n 0 in
+  let placed = Array.make n false in
+  (* free slots next to a placed block, by key *)
+  let frontier = ref Frontier.empty in
+  let place k (i, j) =
+    Hashtbl.replace occupied (key i j) ();
+    si.(k) <- i;
+    sj.(k) <- j;
+    placed.(k) <- true;
+    frontier := Frontier.remove (key i j) !frontier;
+    let open_up i j =
+      let c = key i j in
+      if not (Hashtbl.mem occupied c) then frontier := Frontier.add c !frontier
     in
-    List.sort_uniq compare
-      (List.filter
-         (fun c -> not (Hashtbl.mem occupied c))
-         (List.concat_map around cells))
+    open_up (i + 1) j;
+    open_up (i - 1) j;
+    open_up i (j + 1);
+    open_up i (j - 1)
   in
-  let wire_to id (i, j) =
-    Hlts_util.Listx.sum_by
-      (fun n ->
-        match Hashtbl.find_opt slot_of n with
-        | None -> 0.0
-        | Some (ni, nj) -> float_of_int (abs (i - ni) + abs (j - nj)))
-      (neighbours id)
-  in
-  let place_next id =
-    if Hashtbl.length occupied = 0 then place id (0, 0)
+  (* Each block goes to the frontier slot with the least Manhattan wire
+     length to its placed neighbours; the first such slot in row-major
+     order wins a tie. The first block starts the grid at the origin. *)
+  let place_next k =
+    if Frontier.is_empty !frontier then place k (0, 0)
     else begin
-      let candidates = frontier () in
-      let best =
-        Hlts_util.Listx.min_by (fun c -> wire_to id c) candidates
+      let near =
+        List.filter_map
+          (fun m -> if placed.(m) then Some (si.(m), sj.(m)) else None)
+          adj.(k)
       in
-      match best with
-      | Some c -> place id c
-      | None -> place id (Hashtbl.length occupied, 0)
+      let wire_to c =
+        let i = (c / stride) - n and j = (c mod stride) - n in
+        List.fold_left
+          (fun acc (ni, nj) -> acc + abs (i - ni) + abs (j - nj))
+          0 near
+      in
+      let best = ref 0 and best_len = ref max_int in
+      Frontier.iter
+        (fun c ->
+          let len = wire_to c in
+          if len < !best_len then begin
+            best := c;
+            best_len := len
+          end)
+        !frontier;
+      place k ((!best / stride) - n, (!best mod stride) - n)
     end
   in
   List.iter place_next order;
-  let center id =
-    let i, j = Hashtbl.find slot_of id in
-    (float_of_int i *. pitch, float_of_int j *. pitch)
-  in
+  let cx = Array.init n (fun k -> float_of_int si.(k) *. pitch) in
+  let cy = Array.init n (fun k -> float_of_int sj.(k) *. pitch) in
   let wire_cost =
     Hlts_util.Listx.sum_by
       (fun a ->
-        let x1, y1 = center a.Etpn.a_src and x2, y2 = center a.Etpn.a_dst in
-        let len = abs_float (x1 -. x2) +. abs_float (y1 -. y2) in
+        let s = ix a.Etpn.a_src and d = ix a.Etpn.a_dst in
+        let len = abs_float (cx.(s) -. cx.(d)) +. abs_float (cy.(s) -. cy.(d)) in
         let wid =
-          match Etpn.node etpn a.Etpn.a_dst with
+          match snd nodes.(d) with
           | Etpn.Cond_out _ -> Module_library.wire_width ~bits:1
           | Etpn.Reg _ | Etpn.Fu _ | Etpn.Port_in _ | Etpn.Port_out _
           | Etpn.Const _ -> Module_library.wire_width ~bits
@@ -126,7 +154,7 @@ let plan etpn ~bits =
     cell_area;
     wire_cost;
     total = cell_area +. wire_cost;
-    placement = List.map (fun id -> (id, center id)) ids;
+    placement = List.init n (fun k -> (fst nodes.(k), (cx.(k), cy.(k))));
   }
 
 let area etpn ~bits = (plan etpn ~bits).total

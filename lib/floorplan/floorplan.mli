@@ -18,6 +18,10 @@ type result = {
 }
 
 val plan : Hlts_etpn.Etpn.t -> bits:int -> result
+(** Places every data-path block and prices the result. The free-slot
+    frontier is kept incrementally, so one plan costs about
+    O(blocks x frontier x degree). Reported as the [floorplan.plan]
+    span. *)
 
 val area : Hlts_etpn.Etpn.t -> bits:int -> float
 (** [total] of {!plan}. *)

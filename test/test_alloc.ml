@@ -48,6 +48,34 @@ let prop_death_after_birth =
 
 (* --- left edge --------------------------------------------------------- *)
 
+(* [occupancy] and [of_schedule] share a per-DFG readers index and
+   hoist the schedule length; [interval_of] rescans the op list per
+   value. Over random DFGs, under ASAP and under ALAP with slack, all
+   three must agree. *)
+let prop_occupancy_sums_lifetimes =
+  QCheck.Test.make ~name:"occupancy = sum of of_schedule = interval_of"
+    ~count:100
+    QCheck.(triple (int_range 1 10_000) (int_range 1 60) (int_bound 4))
+    (fun (seed, ops, slack) ->
+      let d = B.random ~seed ~ops in
+      let cons = Constraints.of_dfg d in
+      let sched =
+        if slack = 0 then Basic.asap_exn cons
+        else
+          match Basic.alap cons ~latency:(Dfg.longest_chain d + slack) with
+          | Ok s -> s
+          | Error e -> QCheck.Test.fail_reportf "alap: %s" e
+      in
+      let lifetimes = Lifetime.of_schedule d sched in
+      let total =
+        List.fold_left
+          (fun acc (_, iv) -> acc + (iv.Lifetime.death - iv.Lifetime.birth))
+          0 lifetimes
+      in
+      Lifetime.occupancy d sched = total
+      && lifetimes
+         = List.map (fun v -> (v, Lifetime.interval_of d sched v)) (Dfg.values d))
+
 let test_left_edge_valid_everywhere () =
   List.iter
     (fun (name, d) ->
@@ -242,6 +270,7 @@ let () =
           Alcotest.test_case "toy lifetimes" `Quick test_toy_lifetimes;
           Alcotest.test_case "overlap" `Quick test_overlap;
           QCheck_alcotest.to_alcotest prop_death_after_birth;
+          QCheck_alcotest.to_alcotest prop_occupancy_sums_lifetimes;
         ] );
       ( "left_edge",
         [

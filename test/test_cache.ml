@@ -250,6 +250,80 @@ let test_request_digest_sensitivity () =
   Alcotest.(check bool) "op namespaces" true
     (Engine.request_digest (Engine.Synth (base ())) <> d0)
 
+(* The synthesized outcome is keyed on (DFG, approach, params): the
+   evaluation width does not enter it, so widths that synthesize with
+   equal params share one outcome, and widths whose default params
+   differ ([Eval.params_for_bits] sets [params.bits]) do not. *)
+let test_outcome_shared_across_widths () =
+  let outcome_hits specs =
+    let c = Cache.create () in
+    let eng = Engine.create ~cache:c () in
+    List.iter (fun s -> ignore (Engine.run eng (Engine.Synth s))) specs;
+    let s = Cache.stats c in
+    (s.Cache.mem_hits, s.Cache.mem_entries)
+  in
+  let at ?params bits =
+    spec_exn ?params ~bench:"toy" ~approach:Flows.Ours ~bits ()
+  in
+  let params = { Synth.default_params with Synth.bits = 8 } in
+  Alcotest.(check (pair int int))
+    "equal params: one outcome, hit by the second width (2 results + 1 outcome)"
+    (1, 3)
+    (outcome_hits [ at ~params 4; at ~params 16 ]);
+  Alcotest.(check (pair int int))
+    "per-width params: two outcomes, no hit (2 results + 2 outcomes)" (0, 4)
+    (outcome_hits [ at 4; at 16 ])
+
+(* Widths outside 1..32 are refused where a spec is built and where
+   one is decoded off the wire, with one line naming the range. *)
+let test_width_range () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  let refused label = function
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error e ->
+      Alcotest.(check bool)
+        (label ^ ": one-line range error") true
+        (String.length e > 0
+        && (not (String.contains e '\n'))
+        && contains e "1..32")
+  in
+  let build bits = Engine.spec ~bench:"toy" ~approach:Flows.Ours ~bits () in
+  List.iter (fun b -> refused (Printf.sprintf "spec bits=%d" b) (build b))
+    [ 0; -3; 33; max_int ];
+  List.iter
+    (fun b ->
+      match build b with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "spec bits=%d refused: %s" b e)
+    [ 1; 4; 8; 16; 32 ];
+  refused "spec params.bits=0"
+    (Engine.spec ~params:{ Synth.default_params with Synth.bits = 0 }
+       ~bench:"toy" ~approach:Flows.Ours ~bits:8 ());
+  let wire bits extra =
+    Engine.spec_of_json
+      (Json.Obj
+         ([
+            ("bench", Json.Str "toy");
+            ("approach", Json.Str "ours");
+            ("bits", Json.Int bits);
+          ]
+         @ extra))
+  in
+  refused "wire bits=0" (wire 0 []);
+  refused "wire bits=-3" (wire (-3) []);
+  refused "wire bits=70" (wire 70 []);
+  refused "wire params.bits=-1"
+    (wire 8 [ ("params", Json.Obj [ ("bits", Json.Int (-1)) ]) ]);
+  match wire 16 [] with
+  | Ok s -> Alcotest.(check int) "wire bits=16 decodes" 16 s.Engine.bits
+  | Error e -> Alcotest.failf "wire bits=16 refused: %s" e
+
 (* --- engine cold/warm byte-identity --------------------------------- *)
 
 let test_engine_cold_warm_identical () =
@@ -317,6 +391,9 @@ let () =
           Alcotest.test_case "request sensitivity" `Quick
             test_request_digest_sensitivity;
           Alcotest.test_case "json roundtrip" `Quick test_request_json_roundtrip;
+          Alcotest.test_case "outcome shared across widths" `Quick
+            test_outcome_shared_across_widths;
+          Alcotest.test_case "width range" `Quick test_width_range;
         ] );
       ( "engine",
         [

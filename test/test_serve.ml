@@ -193,6 +193,55 @@ let test_cold_warm_identity () =
       shutdown c;
       Client.close c)
 
+(* A width outside 1..32 is refused at the wire decoder: the daemon
+   replies with the one-line error, whether the client waits or not and
+   inside a sweep, computes nothing and stores nothing on disk. *)
+let test_width_refused () =
+  with_daemon (fun ~pid:_ ~addr ~sock:_ ~dir ->
+      let with_bits bits =
+        match Engine.spec_to_json (spec ()) with
+        | Json.Obj fields ->
+          Json.Obj
+            (List.map
+               (fun (k, v) -> if k = "bits" then (k, Json.Int bits) else (k, v))
+               fields)
+        | _ -> Alcotest.fail "spec did not encode as an object"
+      in
+      let c = Result.get_ok (Client.connect addr) in
+      let refused label env =
+        let r = rpc_exn c env in
+        Alcotest.(check bool) (label ^ " refused") false (jbool "ok" r);
+        let e = jstr "error" r in
+        Alcotest.(check bool)
+          (label ^ " names the range: " ^ e)
+          true
+          ((not (String.contains e '\n'))
+          && String.length e >= 5
+          && String.sub e (String.length e - 5) 5 = "1..32")
+      in
+      List.iter
+        (fun (op, bits, extra) ->
+          refused
+            (Printf.sprintf "%s bits=%d" op bits)
+            (Json.Obj ([ ("op", Json.Str op); ("spec", with_bits bits) ] @ extra)))
+        [
+          ("atpg", 0, []);
+          ("synth", -3, []);
+          ("testability", 33, []);
+          ("atpg", 0, [ ("wait", Json.Bool false) ]);
+        ];
+      refused "sweep with one bad cell"
+        (Json.Obj
+           [
+             ("op", Json.Str "sweep");
+             ("cells", Json.List [ with_bits 4; with_bits 0 ]);
+           ]);
+      Alcotest.(check int) "nothing cached" 0 (Cache.scan_dir dir).Cache.entries;
+      let ok = rpc_exn c (Json.Obj [ ("op", Json.Str "synth"); ("spec", with_bits 4) ]) in
+      Alcotest.(check bool) "a valid width still served" true (jbool "ok" ok);
+      shutdown c;
+      Client.close c)
+
 let test_concurrent_clients () =
   with_daemon (fun ~pid:_ ~addr ~sock:_ ~dir:_ ->
       let clients =
@@ -436,6 +485,8 @@ let () =
           Alcotest.test_case "cold = warm" `Quick test_cold_warm_identity;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
+          Alcotest.test_case "width out of range refused" `Quick
+            test_width_refused;
         ] );
       ( "queue",
         [

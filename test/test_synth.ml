@@ -319,6 +319,13 @@ let test_golden_trajectories () =
     [
       ("tseng", B.tseng, "e7d29eb3d02b6a2b3332583109dbb378", 7, 4);
       ("paulin", B.paulin, "686cc71cada1cdcf6920f32ea3f2bd46", 15, 7);
+      (* large enough that the floorplanner's frontier spans dozens of
+         slots; recorded with the frontier-rebuild planner *)
+      ( "rnd-s1-n40",
+        B.random ~seed:1 ~ops:40,
+        "00ded574205d6966110b2fdddf64eeb8",
+        62,
+        16 );
     ]
 
 (* --- test points -------------------------------------------------------- *)
