@@ -865,6 +865,11 @@ let run_bechamel () =
         results)
     bechamel_tests
 
+(* A refused request: one line on stderr, exit 1, before any work. *)
+let refuse msg =
+  Printf.eprintf "error: %s\n" msg;
+  exit 1
+
 let () =
   let seed = ref 1 in
   let jobs = ref None in
@@ -895,7 +900,11 @@ let () =
             add (fun () -> run_table ?jobs:!jobs ?backend:!backend !seed s)),
         "TABLE  regenerate one table (1|2|3|extra)" );
       ( "-j",
-        Arg.Int (fun n -> jobs := Some n),
+        Arg.Int
+          (fun n ->
+            match Eval.check_jobs n with
+            | Ok () -> jobs := Some n
+            | Error msg -> refuse msg),
         "N      run N pool workers for the table ATPG cells (also: HLTS_JOBS)" );
       ( "--backend",
         Arg.String
@@ -956,6 +965,7 @@ let () =
     ]
   in
   Arg.parse spec (fun s -> Printf.eprintf "unexpected argument %S\n" s) usage;
+  (match Eval.check_env_jobs () with Ok () -> () | Error msg -> refuse msg);
   let run () =
     match List.rev !actions with
     | [] -> all !seed

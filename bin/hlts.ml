@@ -78,7 +78,7 @@ let heartbeat_arg =
   Arg.(value & opt (some string) None & info [ "heartbeat" ] ~docv:"FILE" ~doc)
 
 let heartbeat_ms_arg =
-  let doc = "Heartbeat snapshot cadence in milliseconds (0 = every event)." in
+  let doc = "Heartbeat snapshot cadence in milliseconds (at least 1)." in
   Arg.(value & opt int 100 & info [ "heartbeat-ms" ] ~docv:"MS" ~doc)
 
 (* Installs the requested sinks around [f]; file sinks are flushed and
@@ -187,8 +187,11 @@ let backend_arg =
   Arg.(
     value & opt (some backend_conv) None & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
+(* Every command refuses a malformed HLTS_JOBS before it starts work,
+   whether or not it takes -j: synthesis reads the variable as its
+   default worker count. *)
 let with_errors f =
-  match f () with
+  match Result.bind (Eval.check_env_jobs ()) f with
   | Ok () -> 0
   | Error msg ->
     Printf.eprintf "error: %s\n" msg;
@@ -212,6 +215,13 @@ let with_errors f =
     125
 
 let ( let* ) = Result.bind
+
+(* -j / --jobs, when given *)
+let check_jobs = function None -> Ok () | Some j -> Eval.check_jobs j
+
+let check_heartbeat_ms ms =
+  if ms >= 1 then Ok ()
+  else Error (Printf.sprintf "heartbeat interval %d ms is not positive" ms)
 
 (* --- subcommands --- *)
 
@@ -244,6 +254,8 @@ let synth_cmd =
       heartbeat heartbeat_ms =
     with_errors (fun () ->
         let* () = Eval.check_bits bits in
+        let* () = check_jobs jobs in
+        let* () = check_heartbeat_ms heartbeat_ms in
         let* d = find_bench bench in
         let* a = find_approach approach in
         with_obs ~stats ~trace ~jsonl ~journal ~metrics ~heartbeat ~heartbeat_ms
@@ -327,6 +339,8 @@ let atpg_cmd =
       trace jsonl journal metrics heartbeat heartbeat_ms =
     with_errors (fun () ->
         let* () = Eval.check_bits bits in
+        let* () = Eval.check_jobs jobs in
+        let* () = check_heartbeat_ms heartbeat_ms in
         let* d = find_bench bench in
         let* a = find_approach approach in
         with_obs ~stats ~trace ~jsonl ~journal ~metrics ~heartbeat ~heartbeat_ms
@@ -392,6 +406,7 @@ let table_cmd =
   in
   let run which seed jobs backend no_time =
     with_errors (fun () ->
+        let* () = check_jobs jobs in
         let atpg = atpg_config seed in
         let with_time = not no_time in
         match which with
@@ -848,6 +863,7 @@ let serve_cmd =
   let run tcp socket cache_dir jobs backend queue_limit mem_entries no_disk
       access_log metrics slow_k =
     with_errors (fun () ->
+        let* () = check_jobs jobs in
         let dir = resolve_cache_dir cache_dir in
         let* addr = resolve_addr ~tcp ~socket ~cache_dir:dir in
         if not no_disk then mkdir_p dir;

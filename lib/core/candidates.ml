@@ -15,30 +15,27 @@ type strategy =
 module IntSet = Set.Make (Int)
 
 (* Per-node neighbourhoods of the data path, computed once per scoring
-   pass: [sources] = distinct arc sources feeding the node, [sinks] =
-   distinct arc destinations it feeds. The pool scoring below probes
-   these for every candidate pair (O(pairs) set intersections) — the
-   former per-pair list rebuilds and [List.mem] probes made the pool
-   scan cubic in the node count. *)
+   pass from the ETPN index: [sources.(id)] = distinct arc sources
+   feeding node [id], [sinks.(id)] = distinct arc destinations it feeds.
+   The pool scoring below probes these for every candidate pair
+   (O(pairs) set intersections). *)
 type neighbourhoods = {
-  sources : int -> IntSet.t;
-  sinks : int -> IntSet.t;
+  sources : IntSet.t array;
+  sinks : IntSet.t array;
 }
 
 let neighbourhoods etpn =
-  let add tbl key v =
-    Hashtbl.replace tbl key
-      (IntSet.add v
-         (Option.value ~default:IntSet.empty (Hashtbl.find_opt tbl key)))
+  let n = List.length etpn.Etpn.nodes in
+  let ends arcs_of endpoint =
+    Array.init n (fun id ->
+        List.fold_left
+          (fun set a -> IntSet.add (endpoint a) set)
+          IntSet.empty (arcs_of etpn id))
   in
-  let srcs = Hashtbl.create 64 and dsts = Hashtbl.create 64 in
-  List.iter
-    (fun arc ->
-      add srcs arc.Etpn.a_dst arc.Etpn.a_src;
-      add dsts arc.Etpn.a_src arc.Etpn.a_dst)
-    etpn.Etpn.arcs;
-  let get tbl id = Option.value ~default:IntSet.empty (Hashtbl.find_opt tbl id) in
-  { sources = get srcs; sinks = get dsts }
+  {
+    sources = ends Etpn.in_arcs (fun a -> a.Etpn.a_src);
+    sinks = ends Etpn.out_arcs (fun a -> a.Etpn.a_dst);
+  }
 
 (* Self-loops a merger would create: a register feeding one partner and
    fed by the other becomes a register-unit-register loop (for unit
@@ -46,15 +43,15 @@ let neighbourhoods etpn =
    §3 of the paper asks for "as few loops as possible". *)
 let new_self_loops nb a b =
   let inter x y = IntSet.cardinal (IntSet.inter x y) in
-  inter (nb.sources a) (nb.sinks b) + inter (nb.sources b) (nb.sinks a)
+  inter nb.sources.(a) nb.sinks.(b) + inter nb.sources.(b) nb.sinks.(a)
 
 let closeness nb a b =
   let inter x y = IntSet.cardinal (IntSet.inter x y) in
   let direct =
-    if IntSet.mem b (nb.sinks a) || IntSet.mem a (nb.sinks b) then 1 else 0
+    if IntSet.mem b nb.sinks.(a) || IntSet.mem a nb.sinks.(b) then 1 else 0
   in
   float_of_int
-    (inter (nb.sources a) (nb.sources b) + inter (nb.sinks a) (nb.sinks b) + direct)
+    (inter nb.sources.(a) nb.sources.(b) + inter nb.sinks.(a) nb.sinks.(b) + direct)
 
 let all_scored state t strategy =
   let etpn = Testability.etpn t in
@@ -69,22 +66,24 @@ let all_scored state t strategy =
     | Connectivity -> closeness nb a b
   in
   let unit_pairs =
-    let mergeable f g =
-      let kinds fu =
-        List.map
-          (fun id -> (Dfg.op_by_id state.State.dfg id).Dfg.kind)
-          fu.Binding.fu_ops
-      in
-      Op.shared_class (kinds f @ kinds g) <> None
+    (* each unit's operation kinds, once per pass rather than per pair *)
+    let with_kinds =
+      List.map
+        (fun fu ->
+          ( fu,
+            List.map
+              (fun id -> (Dfg.op_by_id state.State.dfg id).Dfg.kind)
+              fu.Binding.fu_ops ))
+        binding.Binding.fus
     in
     List.filter_map
-      (fun (f, g) ->
-        if mergeable f g then
+      (fun ((f, kf), (g, kg)) ->
+        if Op.shared_class (kf @ kg) <> None then
           let na = Etpn.node_id_of_fu etpn f.Binding.fu_id in
           let nb = Etpn.node_id_of_fu etpn g.Binding.fu_id in
           Some (Units (f.Binding.fu_id, g.Binding.fu_id), score na nb)
         else None)
-      (Hlts_util.Listx.pairs binding.Binding.fus)
+      (Hlts_util.Listx.pairs with_kinds)
   in
   let register_pairs =
     List.map

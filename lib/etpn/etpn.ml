@@ -23,6 +23,21 @@ type arc = {
   a_guards : int list;
 }
 
+module IntMap = Map.Make (Int)
+
+(* Node ids are dense ([fresh] counts from 0, [add_observation_point]
+   adds max + 1), so the per-node tables are arrays indexed by id. The
+   arc lists keep [arcs] order and the register/unit maps keep the first
+   matching node, so every lookup answers as the list scan it replaces.
+   Nothing here is mutated once [make_index] returns. *)
+type index = {
+  node_of : node array;
+  ins : arc list array;
+  outs : arc list array;
+  reg_nodes : int IntMap.t;  (* reg_id -> node id *)
+  fu_nodes : int IntMap.t;   (* fu_id -> node id *)
+}
+
 type t = {
   dfg : Dfg.t;
   schedule : Schedule.t;
@@ -30,7 +45,38 @@ type t = {
   nodes : (int * node) list;
   arcs : arc list;
   control : Petri.t;
+  index : index;
 }
+
+let make_index nodes arcs =
+  List.iteri
+    (fun i (id, _) -> if id <> i then invalid_arg "Etpn: node ids not dense")
+    nodes;
+  let node_of = Array.of_list (List.map snd nodes) in
+  let n = Array.length node_of in
+  let ins = Array.make n [] and outs = Array.make n [] in
+  List.iter
+    (fun a ->
+      ins.(a.a_dst) <- a :: ins.(a.a_dst);
+      outs.(a.a_src) <- a :: outs.(a.a_src))
+    (List.rev arcs);
+  (* folded from the back, so the first node with a key wins *)
+  let first key =
+    List.fold_right
+      (fun (id, nd) m ->
+        match key nd with Some k -> IntMap.add k id m | None -> m)
+      nodes IntMap.empty
+  in
+  {
+    node_of;
+    ins;
+    outs;
+    reg_nodes = first (function Reg r -> Some r.Binding.reg_id | _ -> None);
+    fu_nodes = first (function Fu fu -> Some fu.Binding.fu_id | _ -> None);
+  }
+
+let make dfg schedule binding nodes arcs control =
+  { dfg; schedule; binding; nodes; arcs; control; index = make_index nodes arcs }
 
 let build dfg schedule binding =
   Hlts_obs.span ~cat:"etpn" "etpn.build" @@ fun _ ->
@@ -65,11 +111,29 @@ let build dfg schedule binding =
           Hashtbl.replace const_node c id;
           id
       in
-      let reg_of_value v =
-        Hashtbl.find reg_node (Binding.reg_of_value binding v).Binding.reg_id
+      (* value -> register node and op -> unit node, tabulated once: the
+         first holder in binding order wins, as in
+         [Binding.reg_of_value] / [Binding.fu_of_op] *)
+      let tabulate holders members node_of =
+        let tbl = Hashtbl.create 64 in
+        List.iter
+          (fun h ->
+            let id = node_of h in
+            List.iter
+              (fun m -> if not (Hashtbl.mem tbl m) then Hashtbl.add tbl m id)
+              (members h))
+          holders;
+        Hashtbl.find tbl
       in
-      let fu_of_op id =
-        Hashtbl.find fu_node (Binding.fu_of_op binding id).Binding.fu_id
+      let reg_of_value =
+        tabulate binding.Binding.registers
+          (fun r -> r.Binding.reg_values)
+          (fun r -> Hashtbl.find reg_node r.Binding.reg_id)
+      in
+      let fu_of_op =
+        tabulate binding.Binding.fus
+          (fun fu -> fu.Binding.fu_ops)
+          (fun fu -> Hashtbl.find fu_node fu.Binding.fu_id)
       in
       (* Raw arcs; guards merged afterwards. *)
       let raw = ref [] in
@@ -125,37 +189,23 @@ let build dfg schedule binding =
             { a_src; a_dst; a_port; a_guards })
           grouped
       in
+      (* [fresh] conses ids in ascending order *)
       Ok
-        {
-          dfg;
-          schedule;
-          binding;
-          nodes = List.sort compare !nodes;
-          arcs;
-          control = Petri.chain (Schedule.length schedule);
-        }
+        (make dfg schedule binding (List.rev !nodes) arcs
+           (Petri.chain (Schedule.length schedule)))
 
 let build_exn dfg schedule binding =
   match build dfg schedule binding with
   | Ok t -> t
   | Error msg -> invalid_arg ("Etpn.build: " ^ msg)
 
-let node t id = List.assoc id t.nodes
+let known t id = id >= 0 && id < Array.length t.index.node_of
 
-let node_id_of_reg t reg_id =
-  let matches (_, n) =
-    match n with Reg r -> r.Binding.reg_id = reg_id | _ -> false
-  in
-  fst (List.find matches t.nodes)
-
-let node_id_of_fu t fu_id =
-  let matches (_, n) =
-    match n with Fu fu -> fu.Binding.fu_id = fu_id | _ -> false
-  in
-  fst (List.find matches t.nodes)
-
-let in_arcs t id = List.filter (fun a -> a.a_dst = id) t.arcs
-let out_arcs t id = List.filter (fun a -> a.a_src = id) t.arcs
+let node t id = if known t id then t.index.node_of.(id) else raise Not_found
+let node_id_of_reg t reg_id = IntMap.find reg_id t.index.reg_nodes
+let node_id_of_fu t fu_id = IntMap.find fu_id t.index.fu_nodes
+let in_arcs t id = if known t id then t.index.ins.(id) else []
+let out_arcs t id = if known t id then t.index.outs.(id) else []
 
 let execution_time t = Petri.execution_time t.control
 
@@ -268,7 +318,10 @@ let add_observation_point t ~reg_id =
         List.init (Hlts_sched.Schedule.length t.schedule + 2) Fun.id;
     }
   in
-  { t with nodes = t.nodes @ [ (fresh, port) ]; arcs = t.arcs @ [ arc ] }
+  make t.dfg t.schedule t.binding
+    (t.nodes @ [ (fresh, port) ])
+    (t.arcs @ [ arc ])
+    t.control
 
 let node_label t id =
   match node t id with

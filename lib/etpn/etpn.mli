@@ -32,14 +32,24 @@ type arc = {
                                step 0 = input loading, length+1 = output *)
 }
 
-type t = {
+type index
+(** Lookup tables over [nodes] and [arcs], built once by {!build} and
+    {!add_observation_point} and never mutated, so one ETPN can be read
+    from several domains. *)
+
+type t = private {
   dfg : Hlts_dfg.Dfg.t;
   schedule : Hlts_sched.Schedule.t;
   binding : Hlts_alloc.Binding.t;
-  nodes : (int * node) list;   (** ascending node id *)
+  nodes : (int * node) list;
+      (** ascending node id; the ids are exactly [0 .. n-1] *)
   arcs : arc list;
   control : Hlts_petri.Petri.t;
+  index : index;
 }
+(** Private: every value comes from {!build} or
+    {!add_observation_point}, so the index always matches [nodes] and
+    [arcs]. *)
 
 val build :
   Hlts_dfg.Dfg.t ->
@@ -53,13 +63,24 @@ val build :
 val build_exn :
   Hlts_dfg.Dfg.t -> Hlts_sched.Schedule.t -> Hlts_alloc.Binding.t -> t
 
+(** {2 Lookups}
+
+    All read the index: O(1) by node id, O(log n) by register or unit
+    id. They answer as the list scans over [nodes] and [arcs] would: the
+    first matching node, and arcs in [arcs] order. *)
+
 val node : t -> int -> node
+(** @raise Not_found if [id] is not a node. *)
+
 val node_id_of_reg : t -> int -> int
-(** Node id of register [reg_id]. *)
+(** Node id of register [reg_id].
+    @raise Not_found if no node holds it. *)
 
 val node_id_of_fu : t -> int -> int
 
 val in_arcs : t -> int -> arc list
+(** Arcs into node [id], in [arcs] order; [[]] for an unknown id. *)
+
 val out_arcs : t -> int -> arc list
 
 val execution_time : t -> int

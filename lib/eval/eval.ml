@@ -35,6 +35,21 @@ let check_bits bits =
   if bits >= 1 && bits <= max_bits then Ok ()
   else Error (Printf.sprintf "bit width %d out of range 1..%d" bits max_bits)
 
+let max_jobs = 64
+
+let check_jobs jobs =
+  if jobs >= 1 && jobs <= max_jobs then Ok ()
+  else Error (Printf.sprintf "jobs %d out of range 1..%d" jobs max_jobs)
+
+let check_env_jobs () =
+  match Sys.getenv_opt "HLTS_JOBS" with
+  | None -> Ok ()
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | None -> Error (Printf.sprintf "HLTS_JOBS=%S is not an integer" s)
+    | Some n ->
+      Result.map_error (fun msg -> "HLTS_JOBS: " ^ msg) (check_jobs n))
+
 let params_for_bits bits =
   let base = Synth.default_params in
   match bits with

@@ -35,6 +35,21 @@ val check_bits : int -> (unit, string) result
     Every boundary that takes a width (the CLI, {!Engine.spec}, the
     wire decoder) checks it here. *)
 
+val max_jobs : int
+(** Most pool workers a command accepts: 64. A cap, so a typo cannot
+    fork or spawn thousands of workers. *)
+
+val check_jobs : int -> (unit, string) result
+(** [Ok ()] iff [1 <= jobs <= max_jobs]; otherwise a one-line error.
+    Every command that takes [-j] checks it here before any pool
+    exists. *)
+
+val check_env_jobs : unit -> (unit, string) result
+(** [Ok ()] iff the [HLTS_JOBS] environment variable is unset or an
+    integer that passes {!check_jobs}; otherwise a one-line error. The
+    library's own default ({!Hlts_pool.Pool.default_jobs}) reads the
+    variable leniently; the CLI refuses a bad value here first. *)
+
 val params_for_bits : int -> Hlts_synth.Synth.params
 (** The paper's parameter triples: (k, alpha, beta) = (3, 2, 1) at 4 bits,
     (3, 10, 1) at 8 bits, (3, 1, 10) at 16 bits (§5); [bits] is also the

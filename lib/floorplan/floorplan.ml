@@ -31,21 +31,18 @@ let block_area node ~bits in_arcs =
 
 module Frontier = Set.Make (Int)
 
-(* The planner runs once per merge attempt, so every per-node view is
-   built in one pass into arrays indexed by the node's position in
-   [etpn.nodes], and the placement keeps its free-slot frontier
-   incrementally: placing a block removes its slot and adds its free
-   4-neighbours, instead of re-deriving the frontier from every
-   occupied slot. Wire lengths to placed neighbours are exact small
-   integers, so they are summed in [int]. *)
+(* The planner runs once per merge attempt. ETPN node ids are dense, so
+   every per-node view is an array indexed by node id, node kinds and
+   incoming arcs (in arc-list order) come from the ETPN index, and the
+   placement keeps its free-slot frontier incrementally: placing a block
+   removes its slot and adds its free 4-neighbours, instead of
+   re-deriving the frontier from every occupied slot. Wire lengths to
+   placed neighbours are exact small integers, so they are summed in
+   [int]. *)
 
 let plan etpn ~bits =
   Hlts_obs.span ~cat:"floorplan" "floorplan.plan" @@ fun _ ->
-  let nodes = Array.of_list etpn.Etpn.nodes in
-  let n = Array.length nodes in
-  let index = Hashtbl.create (2 * n) in
-  Array.iteri (fun k (id, _) -> Hashtbl.replace index id k) nodes;
-  let ix id = Hashtbl.find index id in
+  let n = List.length etpn.Etpn.nodes in
   (* neighbours over the undirected interconnect: one entry per
      distinct node pair (a self-loop counts once) *)
   let degree = Array.make n 0 and adj = Array.make n [] in
@@ -54,29 +51,20 @@ let plan etpn ~bits =
     adj.(a) <- b :: adj.(a)
   in
   List.iter
-    (fun (a, b) ->
-      let a = ix a and b = ix b in
-      if a = b then note a b else (note a b; note b a))
+    (fun (a, b) -> if a = b then note a b else (note a b; note b a))
     (Etpn.interconnect etpn);
-  (* per-node incoming arcs in arc-list order, so the float summation
-     in [block_area] is unchanged *)
-  let in_arcs = Array.make n [] in
-  List.iter
-    (fun a ->
-      let d = ix a.Etpn.a_dst in
-      in_arcs.(d) <- a :: in_arcs.(d))
-    (List.rev etpn.Etpn.arcs);
   let order =
     List.sort
-      (fun a b -> compare (degree.(b), fst nodes.(a)) (degree.(a), fst nodes.(b)))
+      (fun a b -> compare (degree.(b), a) (degree.(a), b))
       (List.init n Fun.id)
   in
   (* Slot grid: pitch derived from the average block size so distances are
      in mm. *)
   let cell_area = ref 0.0 in
-  Array.iteri
-    (fun k (_, node) -> cell_area := !cell_area +. block_area node ~bits in_arcs.(k))
-    nodes;
+  List.iter
+    (fun (id, node) ->
+      cell_area := !cell_area +. block_area node ~bits (Etpn.in_arcs etpn id))
+    etpn.Etpn.nodes;
   let cell_area = !cell_area in
   let pitch = sqrt (cell_area /. float_of_int (max 1 n)) in
   (* Slots stay within n of the origin, so [(i + n) * stride + j + n]
@@ -139,10 +127,10 @@ let plan etpn ~bits =
   let wire_cost =
     Hlts_util.Listx.sum_by
       (fun a ->
-        let s = ix a.Etpn.a_src and d = ix a.Etpn.a_dst in
+        let s = a.Etpn.a_src and d = a.Etpn.a_dst in
         let len = abs_float (cx.(s) -. cx.(d)) +. abs_float (cy.(s) -. cy.(d)) in
         let wid =
-          match snd nodes.(d) with
+          match Etpn.node etpn d with
           | Etpn.Cond_out _ -> Module_library.wire_width ~bits:1
           | Etpn.Reg _ | Etpn.Fu _ | Etpn.Port_in _ | Etpn.Port_out _
           | Etpn.Const _ -> Module_library.wire_width ~bits
@@ -154,7 +142,7 @@ let plan etpn ~bits =
     cell_area;
     wire_cost;
     total = cell_area +. wire_cost;
-    placement = List.init n (fun k -> (fst nodes.(k), (cx.(k), cy.(k))));
+    placement = List.init n (fun id -> (id, (cx.(id), cy.(id))));
   }
 
 let area etpn ~bits = (plan etpn ~bits).total

@@ -7,19 +7,22 @@ let asap cons =
   Hlts_obs.span ~cat:"reschedule" "sched.asap" @@ fun _ ->
   if not (Constraints.is_acyclic cons) then Error "cyclic constraints"
   else begin
-    let steps = Hashtbl.create 16 in
-    let rec step_of id =
-      match Hashtbl.find_opt steps id with
-      | Some s -> s
-      | None ->
+    (* by dense index; 0 = not yet computed (every step is >= 1) *)
+    let steps = Array.make (Constraints.size cons) 0 in
+    let rec step_of i =
+      if steps.(i) > 0 then steps.(i)
+      else begin
         let s =
-          1 + List.fold_left (fun acc p -> max acc (step_of p)) 0 (Constraints.preds cons id)
+          1 + Constraints.fold_preds_ix cons i (fun acc p -> max acc (step_of p)) 0
         in
-        Hashtbl.replace steps id s;
+        steps.(i) <- s;
         s
+      end
     in
-    let assoc = List.map (fun id -> (id, step_of id)) (ids_of cons) in
-    Ok (Schedule.of_assoc assoc)
+    Ok
+      (Schedule.of_assoc
+         (List.init (Array.length steps) (fun i ->
+              (Constraints.id_at cons i, step_of i))))
   end
 
 let asap_exn cons =

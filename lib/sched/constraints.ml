@@ -29,6 +29,7 @@ type base = {
   ids : int array;  (** dense index -> op id, in DFG op order *)
   index : (int, int) Hashtbl.t;  (** op id -> dense index *)
   dpreds : int list array;  (** data predecessors (ids, sorted uniq) *)
+  dpreds_ix : int list array;  (** the same, as dense indices *)
   dsuccs : int list array;  (** data successors (ids, sorted uniq) *)
 }
 
@@ -118,8 +119,9 @@ let of_dfg dfg =
     List.map (Hashtbl.find index) dsuccs.(i)
   in
   let reach = closure n succs_of in
+  let dpreds_ix = Array.map (List.map (Hashtbl.find index)) dpreds in
   {
-    base = { ids; index; dpreds; dsuccs };
+    base = { ids; index; dpreds; dpreds_ix; dsuccs };
     dfg;
     extra = ArcSet.empty;
     xpreds = IntMap.empty;
@@ -155,6 +157,17 @@ let extra_adj map id = Option.value ~default:[] (IntMap.find_opt id map)
 let preds t id = merge_sorted t.base.dpreds.(idx t id) (extra_adj t.xpreds id)
 
 let succs t id = merge_sorted t.base.dsuccs.(idx t id) (extra_adj t.xsuccs id)
+
+let size t = Array.length t.base.ids
+
+let id_at t i = t.base.ids.(i)
+
+let fold_preds_ix t i f acc =
+  let acc = List.fold_left f acc t.base.dpreds_ix.(i) in
+  List.fold_left
+    (fun acc p -> f acc (idx t p))
+    acc
+    (extra_adj t.xpreds t.base.ids.(i))
 
 (* Combined successor indices of dense index [i] — only needed by the
    full-closure fallback. *)

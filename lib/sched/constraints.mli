@@ -33,6 +33,21 @@ val preds : t -> int -> int list
 
 val succs : t -> int -> int list
 
+(** {2 Dense index}
+
+    Operations are numbered [0 .. size t - 1] in DFG op order. *)
+
+val size : t -> int
+
+val id_at : t -> int -> int
+(** Operation id at a dense index. *)
+
+val fold_preds_ix : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
+(** [fold_preds_ix t i f acc] folds [f] over the dense indices of every
+    predecessor of dense index [i]: data predecessors first, then extra
+    ones. An operation that is both is visited twice, so [f] should not
+    depend on order or multiplicity (as [max] does not). *)
+
 val is_acyclic : t -> bool
 
 val would_cycle : t -> int -> int -> bool

@@ -9,12 +9,12 @@ type measures = {
   so : float;
 }
 
+(* Analyses are immutable once [analyze] returns, so one analysis can
+   be read from several domains; every node's measures are tabulated
+   there, indexed by node id (ETPN node ids are dense). *)
 type t = {
   etpn : Etpn.t;
-  out_cc : (int, float) Hashtbl.t;  (* controllability of a node's output *)
-  out_sc : (int, float) Hashtbl.t;
-  node_co : (int, float) Hashtbl.t; (* observability of a node's content *)
-  node_so : (int, float) Hashtbl.t;
+  measures : measures array;
 }
 
 (* Combinational transfer factors: how much controllability survives a
@@ -55,75 +55,78 @@ let big = infinity
 
 let analyze etpn =
   Hlts_obs.span ~cat:"testability" "testability.analyze" @@ fun sp ->
-  Hlts_obs.set sp "nodes" (Hlts_obs.Int (List.length etpn.Etpn.nodes));
+  let nodes = etpn.Etpn.nodes in
+  let n = List.length nodes in
+  Hlts_obs.set sp "nodes" (Hlts_obs.Int n);
   Hlts_obs.count "testability.analyses";
-  let out_cc = Hashtbl.create 64 and out_sc = Hashtbl.create 64 in
-  let node_co = Hashtbl.create 64 and node_so = Hashtbl.create 64 in
+  (* by node id: controllability of a node's output, observability of
+     its content *)
+  let out_cc = Array.make n 0.0 and out_sc = Array.make n big in
+  let node_co = Array.make n 0.0 and node_so = Array.make n big in
   List.iter
-    (fun (id, n) ->
+    (fun (id, nd) ->
       let cc0, sc0 =
-        match n with
+        match nd with
         | Etpn.Port_in _ -> (1.0, 0.0)
         | Etpn.Const _ -> (const_cc, 0.0)
         | Etpn.Port_out _ | Etpn.Cond_out _ | Etpn.Reg _ | Etpn.Fu _ ->
           (0.0, big)
       in
       let co0, so0 =
-        match n with
+        match nd with
         | Etpn.Port_out _ -> (1.0, 0.0)
         | Etpn.Cond_out _ -> (cond_co, 0.0)
         | Etpn.Port_in _ | Etpn.Const _ | Etpn.Reg _ | Etpn.Fu _ -> (0.0, big)
       in
-      Hashtbl.replace out_cc id cc0;
-      Hashtbl.replace out_sc id sc0;
-      Hashtbl.replace node_co id co0;
-      Hashtbl.replace node_so id so0)
-    etpn.Etpn.nodes;
-  let cc_of id = Hashtbl.find out_cc id in
-  let sc_of id = Hashtbl.find out_sc id in
-  let co_of id = Hashtbl.find node_co id in
-  let so_of id = Hashtbl.find node_so id in
-  let port_cc srcs = List.fold_left (fun acc s -> max acc (cc_of s)) 0.0 srcs in
-  let port_sc srcs = List.fold_left (fun acc s -> min acc (sc_of s)) big srcs in
-  let fu_port_sources id p =
-    List.filter_map
-      (fun a -> if a.Etpn.a_port = Some p then Some a.Etpn.a_src else None)
-      (Etpn.in_arcs etpn id)
+      out_cc.(id) <- cc0;
+      out_sc.(id) <- sc0;
+      node_co.(id) <- co0;
+      node_so.(id) <- so0)
+    nodes;
+  let port_cc srcs = List.fold_left (fun acc s -> max acc out_cc.(s)) 0.0 srcs in
+  let port_sc srcs = List.fold_left (fun acc s -> min acc out_sc.(s)) big srcs in
+  (* arc sources per node, all of them and per unit port, in arc order *)
+  let sources_where keep =
+    Array.init n (fun id ->
+        List.filter_map
+          (fun a -> if keep a then Some a.Etpn.a_src else None)
+          (Etpn.in_arcs etpn id))
   in
-  let sources id = List.map (fun a -> a.Etpn.a_src) (Etpn.in_arcs etpn id) in
+  let sources = sources_where (fun _ -> true) in
+  let left = sources_where (fun a -> a.Etpn.a_port = Some Etpn.P_left) in
+  let right = sources_where (fun a -> a.Etpn.a_port = Some Etpn.P_right) in
 
   (* ---- forward relaxation: CC up, SC down, until stable ---- *)
   let forward_once () =
     let changed = ref false in
     let update id cc sc =
-      if cc > cc_of id +. 1e-12 then begin
-        Hashtbl.replace out_cc id cc;
+      if cc > out_cc.(id) +. 1e-12 then begin
+        out_cc.(id) <- cc;
         changed := true
       end;
-      if sc < sc_of id -. 1e-12 then begin
-        Hashtbl.replace out_sc id sc;
+      if sc < out_sc.(id) -. 1e-12 then begin
+        out_sc.(id) <- sc;
         changed := true
       end
     in
     List.iter
-      (fun (id, n) ->
-        match n with
+      (fun (id, nd) ->
+        match nd with
         | Etpn.Reg _ ->
-          let srcs = sources id in
+          let srcs = sources.(id) in
           if srcs <> [] then
             update id (register_factor *. port_cc srcs) (1.0 +. port_sc srcs)
         | Etpn.Fu fu ->
-          let left = fu_port_sources id Etpn.P_left in
-          let right = fu_port_sources id Etpn.P_right in
+          let left = left.(id) and right = right.(id) in
           if left <> [] && right <> [] then
             update id
               (fu_ctf fu *. min (port_cc left) (port_cc right))
               (max (port_sc left) (port_sc right))
         | Etpn.Cond_out _ | Etpn.Port_out _ ->
-          let srcs = sources id in
+          let srcs = sources.(id) in
           if srcs <> [] then update id (port_cc srcs) (port_sc srcs)
         | Etpn.Port_in _ | Etpn.Const _ -> ())
-      etpn.Etpn.nodes;
+      nodes;
     !changed
   in
 
@@ -137,85 +140,84 @@ let analyze etpn =
     match Etpn.node etpn dst with
     | Etpn.Port_out _ -> (1.0, 0.0)
     | Etpn.Cond_out _ -> (cond_co, 0.0)
-    | Etpn.Reg _ -> (register_factor *. co_of dst, 1.0 +. so_of dst)
-    | Etpn.Fu fu ->
-      let other_port =
-        match a.Etpn.a_port with
-        | Some Etpn.P_left -> Some Etpn.P_right
-        | Some Etpn.P_right -> Some Etpn.P_left
-        | None -> None
+    | Etpn.Reg _ -> (register_factor *. node_co.(dst), 1.0 +. node_so.(dst))
+    | Etpn.Fu fu -> (
+      (* observing through the unit needs the opposite port controlled:
+         CO is discounted by its controllability, SO pays its
+         sequential set-up cost *)
+      let obs_through other =
+        let co = fu_otf fu *. node_co.(dst) *. port_cc other in
+        (co, node_so.(dst) +. port_sc other)
       in
-      (match other_port with
-      | None -> (0.0, big)
-      | Some p ->
-        (* observing through the unit needs the opposite port controlled:
-           CO is discounted by its controllability, SO pays its
-           sequential set-up cost *)
-        let other = fu_port_sources dst p in
-        let co = fu_otf fu *. co_of dst *. port_cc other in
-        (co, so_of dst +. port_sc other))
+      match a.Etpn.a_port with
+      | Some Etpn.P_left -> obs_through right.(dst)
+      | Some Etpn.P_right -> obs_through left.(dst)
+      | None -> (0.0, big))
     | Etpn.Port_in _ | Etpn.Const _ -> (0.0, big)
   in
   let backward_once () =
     let changed = ref false in
     let update id co so =
-      if co > co_of id +. 1e-12 then begin
-        Hashtbl.replace node_co id co;
+      if co > node_co.(id) +. 1e-12 then begin
+        node_co.(id) <- co;
         changed := true
       end;
-      if so < so_of id -. 1e-12 then begin
-        Hashtbl.replace node_so id so;
+      if so < node_so.(id) -. 1e-12 then begin
+        node_so.(id) <- so;
         changed := true
       end
     in
     List.iter
-      (fun (id, n) ->
-        match n with
+      (fun (id, nd) ->
+        match nd with
         | Etpn.Port_out _ | Etpn.Cond_out _ -> ()
         | Etpn.Port_in _ | Etpn.Const _ | Etpn.Reg _ | Etpn.Fu _ ->
           let arcs = Etpn.out_arcs etpn id in
           if arcs <> [] then begin
-            let co =
-              List.fold_left (fun acc a -> max acc (fst (arc_obs a))) 0.0 arcs
-            in
-            let so =
-              List.fold_left (fun acc a -> min acc (snd (arc_obs a))) big arcs
-            in
-            update id co so
+            (* one [arc_obs] per arc feeds both folds, in arc order *)
+            let co = ref 0.0 and so = ref big in
+            List.iter
+              (fun a ->
+                let c, s = arc_obs a in
+                co := max !co c;
+                so := min !so s)
+              arcs;
+            update id !co !so
           end)
-      etpn.Etpn.nodes;
+      nodes;
     !changed
   in
   let rec run pass budget =
     if budget > 0 && pass () then run pass (budget - 1)
   in
-  let rounds = 4 * List.length etpn.Etpn.nodes + 16 in
+  let rounds = (4 * n) + 16 in
   run forward_once rounds;
   run backward_once rounds;
-  { etpn; out_cc; out_sc; node_co; node_so }
+  (* Node controllability: the best controllability of any input line
+     (§3 of the paper); sources' output measures are the line measures.
+     Source-less nodes use their own output measures. *)
+  let measures =
+    Array.init n (fun id ->
+        let cc, sc =
+          match sources.(id) with
+          | [] -> (out_cc.(id), out_sc.(id))
+          | srcs -> (port_cc srcs, port_sc srcs)
+        in
+        { cc; sc; co = node_co.(id); so = node_so.(id) })
+  in
+  { etpn; measures }
 
 let etpn t = t.etpn
 
 let node_measures t id =
-  (* Node controllability: the best controllability of any input line
-     (§3 of the paper); sources' output measures are the line measures.
-     Source-less nodes use their own output measures. *)
-  let in_srcs = List.map (fun a -> a.Etpn.a_src) (Etpn.in_arcs t.etpn id) in
-  let cc, sc =
-    match in_srcs with
-    | [] -> (Hashtbl.find t.out_cc id, Hashtbl.find t.out_sc id)
-    | srcs ->
-      ( List.fold_left (fun acc s -> max acc (Hashtbl.find t.out_cc s)) 0.0 srcs,
-        List.fold_left (fun acc s -> min acc (Hashtbl.find t.out_sc s)) big srcs
-      )
-  in
-  { cc; sc; co = Hashtbl.find t.node_co id; so = Hashtbl.find t.node_so id }
+  if id >= 0 && id < Array.length t.measures then t.measures.(id)
+  else raise Not_found
 
 let by_kind t keep =
   List.filter_map
     (fun (id, n) ->
       match keep n with
-      | Some key -> Some (key, node_measures t id)
+      | Some key -> Some (key, t.measures.(id))
       | None -> None)
     t.etpn.Etpn.nodes
 
@@ -247,7 +249,7 @@ let balance_score t u v =
   merged -. before
 
 let testability_cost t =
-  let all = List.map (fun (id, _) -> node_measures t id) t.etpn.Etpn.nodes in
+  let all = List.map (fun (id, _) -> t.measures.(id)) t.etpn.Etpn.nodes in
   let n = max 1 (List.length all) in
   Hlts_util.Listx.sum_by
     (fun m ->

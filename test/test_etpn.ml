@@ -220,6 +220,88 @@ let prop_arc_endpoints_exist =
         (fun a -> List.mem a.Etpn.a_src ids && List.mem a.Etpn.a_dst ids)
         etpn.Etpn.arcs)
 
+(* --- the index against the list scans it replaced ---------------------- *)
+
+(* Today's accessors answer from an index built once per ETPN; these are
+   the list scans over [nodes] and [arcs] they replaced, kept as the
+   specification: first matching node, arcs in [arcs] order. *)
+let reference_node t id = List.assoc id t.Etpn.nodes
+
+let reference_node_id_of_reg t reg_id =
+  let matches (_, n) =
+    match n with Etpn.Reg r -> r.Binding.reg_id = reg_id | _ -> false
+  in
+  fst (List.find matches t.Etpn.nodes)
+
+let reference_node_id_of_fu t fu_id =
+  let matches (_, n) =
+    match n with Etpn.Fu fu -> fu.Binding.fu_id = fu_id | _ -> false
+  in
+  fst (List.find matches t.Etpn.nodes)
+
+let reference_in_arcs t id = List.filter (fun a -> a.Etpn.a_dst = id) t.Etpn.arcs
+let reference_out_arcs t id = List.filter (fun a -> a.Etpn.a_src = id) t.Etpn.arcs
+
+(* A random design: a [Benchmarks.random] DFG under the default, the
+   left-edge or the Algorithm-1 binding, with [taps] observation points
+   on its first registers. *)
+let random_etpn (seed, ops, kind, taps) =
+  let d = B.random ~seed ~ops in
+  let s, binding =
+    match kind with
+    | 0 -> (asap d, Binding.default d)
+    | 1 ->
+      let s = asap d in
+      (s, Binding.allocate d s)
+    | _ ->
+      let st = (Hlts_synth.Synth.run ~jobs:1 d).Hlts_synth.Synth.final in
+      (st.Hlts_synth.State.schedule, st.Hlts_synth.State.binding)
+  in
+  List.fold_left
+    (fun etpn r -> Etpn.add_observation_point etpn ~reg_id:r.Binding.reg_id)
+    (Etpn.build_exn d s binding)
+    (Hlts_util.Listx.take taps binding.Binding.registers)
+
+let arb_design =
+  QCheck.(
+    make
+      ~print:(fun (seed, ops, kind, taps) ->
+        Printf.sprintf "seed %d, %d ops, binding %d, %d taps" seed ops kind
+          taps)
+      Gen.(quad (int_bound 100_000) (int_range 1 24) (int_bound 2) (int_bound 2)))
+
+(* [f] and [g] agree on [x], Not_found included. *)
+let agree f g x =
+  let run h = match h x with v -> Some v | exception Not_found -> None in
+  run f = run g
+
+let prop_index_matches_scans =
+  QCheck.Test.make ~name:"index = list scans" ~count:100 arb_design
+    (fun design ->
+      let etpn = random_etpn design in
+      let n = List.length etpn.Etpn.nodes in
+      let ids = List.init (n + 2) (fun i -> i - 1) in
+      let binding = etpn.Etpn.binding in
+      let around keys = (-1 :: keys) @ [ 1 + List.fold_left max 0 keys ] in
+      let reg_ids =
+        around (List.map (fun r -> r.Binding.reg_id) binding.Binding.registers)
+      in
+      let fu_ids =
+        around (List.map (fun fu -> fu.Binding.fu_id) binding.Binding.fus)
+      in
+      List.for_all
+        (fun id ->
+          agree (Etpn.node etpn) (reference_node etpn) id
+          && agree (Etpn.in_arcs etpn) (reference_in_arcs etpn) id
+          && agree (Etpn.out_arcs etpn) (reference_out_arcs etpn) id)
+        ids
+      && List.for_all
+           (agree (Etpn.node_id_of_reg etpn) (reference_node_id_of_reg etpn))
+           reg_ids
+      && List.for_all
+           (agree (Etpn.node_id_of_fu etpn) (reference_node_id_of_fu etpn))
+           fu_ids)
+
 let () =
   Alcotest.run "hlts_etpn"
     [
@@ -246,4 +328,5 @@ let () =
           Alcotest.test_case "observation point" `Quick test_observation_point;
           QCheck_alcotest.to_alcotest prop_arc_endpoints_exist;
         ] );
+      ("index", [ QCheck_alcotest.to_alcotest prop_index_matches_scans ]);
     ]

@@ -106,6 +106,22 @@ let test_experiments_structure () =
   Alcotest.(check (list int)) "3 widths" [ 4; 8; 16 ]
     Hlts_eval.Experiments.widths
 
+(* The cap is only probed through the pure check: no pool, process or
+   domain is started for an over-cap count. *)
+let test_check_jobs () =
+  let ok j = Result.is_ok (Eval.check_jobs j) in
+  Alcotest.(check int) "documented cap" 64 Eval.max_jobs;
+  List.iter
+    (fun j -> Alcotest.(check bool) (Printf.sprintf "%d accepted" j) true (ok j))
+    [ 1; 2; Eval.max_jobs ];
+  List.iter
+    (fun j -> Alcotest.(check bool) (Printf.sprintf "%d refused" j) false (ok j))
+    [ min_int; -1; 0; Eval.max_jobs + 1; max_int ];
+  Alcotest.(check (result unit string))
+    "one-line error"
+    (Error "jobs 65 out of range 1..64")
+    (Eval.check_jobs 65)
+
 let () =
   Alcotest.run "hlts_eval"
     [
@@ -117,6 +133,7 @@ let () =
             test_evaluate_outcome_matches_evaluate;
           Alcotest.test_case "deterministic" `Quick test_outcome_deterministic;
           Alcotest.test_case "experiments" `Quick test_experiments_structure;
+          Alcotest.test_case "jobs range" `Quick test_check_jobs;
         ] );
       ( "render",
         [

@@ -317,6 +317,48 @@ let prop_schedulers_respect_extra_arcs =
              (fun (a, b) -> Schedule.step s a < Schedule.step s b)
              (Constraints.extra_arcs !cons))
 
+(* The ASAP that [Basic.asap] replaced: a [Hashtbl] memo over op ids
+   and the merged [Constraints.preds] lists. Kept as its specification. *)
+let reference_asap cons =
+  let steps = Hashtbl.create 16 in
+  let rec step_of id =
+    match Hashtbl.find_opt steps id with
+    | Some s -> s
+    | None ->
+      let s =
+        1
+        + List.fold_left
+            (fun acc p -> max acc (step_of p))
+            0 (Constraints.preds cons id)
+      in
+      Hashtbl.replace steps id s;
+      s
+  in
+  Schedule.of_assoc
+    (List.map
+       (fun o -> (o.Dfg.id, step_of o.Dfg.id))
+       (Constraints.dfg cons).Dfg.ops)
+
+(* Random DAGs with non-contiguous ids, plus random extra arcs that keep
+   them acyclic (some of which duplicate a data dependency). *)
+let prop_asap_matches_reference =
+  QCheck.Test.make ~name:"dense-index asap = Hashtbl asap" ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Hlts_util.Rng.create seed in
+      let d = random_dag rng in
+      let ids = Array.of_list (List.map (fun o -> o.Dfg.id) d.Dfg.ops) in
+      let n = Array.length ids in
+      let cons = ref (Constraints.of_dfg d) in
+      for _ = 1 to Hlts_util.Rng.int rng (2 * n) do
+        let a = ids.(Hlts_util.Rng.int rng n) in
+        let b = ids.(Hlts_util.Rng.int rng n) in
+        if not (Constraints.would_cycle !cons a b) then
+          cons := Constraints.add_arc !cons a b
+      done;
+      Schedule.bindings (Basic.asap_exn !cons)
+      = Schedule.bindings (reference_asap !cons))
+
 let () =
   Alcotest.run "hlts_sched"
     [
@@ -338,6 +380,7 @@ let () =
         [
           Alcotest.test_case "asap = chain" `Quick test_asap_length_is_chain;
           Alcotest.test_case "asap extra arcs" `Quick test_asap_with_extra_arcs;
+          QCheck_alcotest.to_alcotest prop_asap_matches_reference;
           Alcotest.test_case "alap" `Quick test_alap;
           Alcotest.test_case "alap infeasible" `Quick test_alap_infeasible;
           Alcotest.test_case "mobility" `Quick test_mobility;
